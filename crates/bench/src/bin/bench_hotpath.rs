@@ -7,7 +7,7 @@
 //! - the event scheduler (`sim::Engine`): a dispatch-dominated ticker
 //!   storm and a cancel-heavy timeout churn, reported as events/sec and
 //!   ns/event;
-//! - the capture path (`ckptstore::ChunkStore`): repeated epoch captures
+//! - the capture path (`ckptstore::StoreClient`): repeated epoch captures
 //!   of a mostly-clean image, reported as MB/s plus dedup and cache
 //!   counters.
 //!
@@ -28,7 +28,7 @@
 use std::any::Any;
 use std::time::Instant;
 
-use ckptstore::ChunkStore;
+use ckptstore::StoreClient;
 use sim::{Component, Ctx, Engine, SimDuration};
 use tcd_bench::banner;
 use tcd_bench::json::{parse_json, Json};
@@ -197,11 +197,11 @@ struct CaptureResult {
 }
 
 /// Epoch-capture loop: a synthetic guest image where a small fraction of
-/// chunks dirties between epochs — the dominant `ChunkStore` workload on
+/// chunks dirties between epochs — the dominant `StoreClient` workload on
 /// the checkpoint path (most pages clean, a few new).
 fn bench_capture(image_chunks: usize, epochs: u32, dirty_per_epoch: usize) -> CaptureResult {
     let chunk = 4096usize;
-    let store = ChunkStore::builder().chunk_size(chunk).build();
+    let store = StoreClient::builder().chunk_size(chunk).build();
     let mut image = vec![0u8; image_chunks * chunk];
     // Deterministic pseudo-content (SplitMix64 over chunk indices).
     let mut x = 0x9e37_79b9_7f4a_7c15u64;

@@ -30,7 +30,7 @@
 //! - `--check`: validate the committed JSON against the schema and exit;
 //! - `--label <name>`: label for the appended entry (default "current").
 
-use ckptstore::{CaptureCache, ChunkStore, StoreClient};
+use ckptstore::{CaptureCache, StoreClient};
 use sim::buggify::{points, Buggify, Preset};
 use sim::{stats, Engine, SimDuration, SimTime};
 use tcd_bench::banner;
@@ -77,7 +77,10 @@ impl Rng {
     }
 }
 
-/// FNV-1a 64 over a byte stream — the sweep's determinism fingerprint.
+/// The sweep's determinism fingerprint: FNV-1a's shape and offset basis,
+/// but a multiplier of `0x1000_0000_01b3` where FNV uses
+/// `0x100_0000_01b3`, so it is not `sim::fnv1a`. It stays as it is
+/// because BENCH_store.json pins its values.
 struct Fingerprint(u64);
 
 impl Fingerprint {
@@ -121,7 +124,7 @@ struct SweepResult {
 /// failures forced on and repair workers draining between epochs.
 fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
     let mut engine = Engine::new(SEED);
-    let client: StoreClient = ChunkStore::builder()
+    let client: StoreClient = StoreClient::builder()
         .chunk_size(CHUNK)
         .shards(shards)
         .replication(REPLICATION)

@@ -105,16 +105,6 @@ fn paths_csv(paths: &[EpochPath]) -> String {
     csv
 }
 
-/// FNV-1a 64 over the CSV bytes (same hash the other artifacts pin).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn num(v: f64) -> Json {
     Json::Num(v)
 }
@@ -282,7 +272,7 @@ fn main() {
         ("capture_wait_pct".into(), num(capture_pct)),
         ("barrier_hold_pct".into(), num(hold_pct)),
         ("resume_release_pct".into(), num(resume_pct)),
-        ("csv_fnv64".into(), Json::Str(format!("{:016x}", fnv64(csv.as_bytes())))),
+        ("csv_fnv64".into(), Json::Str(format!("{:016x}", sim::fnv1a(csv.as_bytes())))),
     ]);
 
     let mut doc = match std::fs::read_to_string(OUT_PATH) {

@@ -20,7 +20,7 @@
 //!   retries.
 
 use checkpoint::{Coordinator, FailurePolicy};
-use sim::{FaultPlan, SimDuration, SimTime};
+use sim::{SimDuration, SimTime};
 use tcd_bench::lab::{build_lab, LabConfig, LabOutcome};
 use tcd_bench::{banner, write_csv};
 
@@ -32,11 +32,6 @@ struct Cell {
 }
 
 fn run(cell: &Cell) -> LabOutcome {
-    let mut plan = FaultPlan::new(7_001).with_loss(cell.loss);
-    if cell.crash {
-        // Host B's control interface dies mid-sweep (key = NodeAddr.0).
-        plan = plan.with_crash(2, SimTime::from_nanos(32_000_000_000));
-    }
     let policy = FailurePolicy {
         // Resume and abort publications are repeated so a lossy LAN
         // cannot strand a suspended node on a single dropped frame.
@@ -45,7 +40,9 @@ fn run(cell: &Cell) -> LabOutcome {
     };
     let mut lab = build_lab(LabConfig {
         seed: 13_001,
-        faults: Some(plan),
+        lan_loss: Some(cell.loss),
+        // Host B's control interface dies mid-sweep.
+        crash_b_at: cell.crash.then(|| SimTime::from_nanos(32_000_000_000)),
         straggler_stall: cell.stall,
         policy: Some(policy),
         ..LabConfig::default()

@@ -79,17 +79,6 @@ fn run_scenario() -> RunOutput {
     }
 }
 
-/// FNV-1a 64 over the JSON bytes: a stable, dependency-free content hash
-/// for the committed summary.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn main() {
     banner(
         "TAB-TIMELINE",
@@ -125,7 +114,7 @@ fn main() {
     let _ = writeln!(csv, "trace_events,{}", a.events.len());
     let _ = writeln!(csv, "trace_dropped,{}", a.dropped);
     let _ = writeln!(csv, "json_bytes,{}", a.json.len());
-    let _ = writeln!(csv, "json_fnv64,{:016x}", fnv64(a.json.as_bytes()));
+    let _ = writeln!(csv, "json_fnv64,{:016x}", sim::fnv1a(a.json.as_bytes()));
     let _ = writeln!(csv, "audit,{}", a.verdict);
     for ((name, ph), n) in &counts {
         let _ = writeln!(csv, "count.{name}.{ph},{n}");

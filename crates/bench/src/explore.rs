@@ -8,7 +8,7 @@
 //! replays the trace ring through [`ShadowEpochState`] — an independent
 //! model of the coordinator's two-phase protocol. Any shadow violation
 //! fails the iteration; because everything (component jitter, buggify
-//! draws, fault plans, the scenario itself) flows from the one seed, a
+//! draws, crash schedules, the scenario itself) flows from the one seed, a
 //! failing iteration replays byte-identically from the printed seed.
 //!
 //! The library half (this module) builds rigs and runs single
@@ -22,8 +22,8 @@ use checkpoint::{shadow, BusMsg, BUS_MSG_BYTES};
 use hwsim::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr};
 use sim::telemetry::names;
 use sim::{
-    Buggify, Component, ComponentId, Ctx, Engine, FaultPlan, Payload, Preset, SimDuration, SimRng,
-    SimTime, TraceCtx, TraceEvent,
+    Buggify, Component, ComponentId, Ctx, Engine, Payload, Preset, SimDuration, SimRng, SimTime,
+    TraceCtx, TraceEvent,
 };
 
 /// SplitMix64 step: turns `root_seed + index` into a well-mixed
@@ -292,12 +292,7 @@ impl IterationOutcome {
     /// FNV-1a over the CSV rendering of the trace: two runs of the same
     /// seed are byte-identical iff their fingerprints match.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in events_csv(&self.events).as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        sim::fnv1a(events_csv(&self.events).as_bytes())
     }
 }
 
@@ -386,17 +381,16 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     });
 
     if let Some(crash) = s.crash {
-        let plan = FaultPlan::new(s.seed)
-            .with_crash(crash.node, SimTime::from_nanos(crash.at_ms * 1_000_000));
-        e.with_component::<ControlLan, _>(lan, |l, _| l.inject_faults(plan));
+        let at = SimTime::from_nanos(crash.at_ms * 1_000_000);
+        e.with_component::<ControlLan, _>(lan, |l, _| l.crash_at(NodeAddr(crash.node), at));
     }
 
     e.with_component::<Coordinator, _>(coord, |c, ctx| {
         c.start_periodic(ctx, SimDuration::from_millis(s.interval_ms));
     });
 
-    // Main run, split at the scripted marks: the heal instant (swap in
-    // a clean fault plan and re-admit the node if it was evicted) and
+    // Main run, split at the scripted marks: the heal instant (heal the
+    // LAN and re-admit the node if it was evicted) and
     // the coordinator process crash. Marks run in time order; a heal
     // that lands while the coordinator is down still heals the LAN, and
     // its rejoin is a no-op (the crash already merged the roster back —
@@ -420,10 +414,8 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
         now_ms = ms;
         match mark {
             Mark::Heal => {
-                e.with_component::<ControlLan, _>(lan, |l, _| {
-                    l.inject_faults(FaultPlan::new(s.seed ^ 1));
-                });
                 let node = NodeAddr(s.crash.unwrap().node);
+                e.with_component::<ControlLan, _>(lan, |l, _| l.heal(node));
                 e.with_component::<Coordinator, _>(coord, |c, ctx| {
                     c.rejoin(ctx, node);
                 });

@@ -10,7 +10,8 @@ use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{Kernel, KernelConfig};
 use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
-use sim::{ComponentId, Engine, FaultPlan, SimDuration};
+use sim::buggify::points;
+use sim::{ComponentId, Engine, SimDuration, SimTime};
 use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
 use workloads::{IperfReceiver, IperfSender};
 
@@ -28,9 +29,11 @@ pub struct LabConfig {
     pub lead: Option<SimDuration>,
     /// Initial clock offsets of the two hosts, ns.
     pub offsets_ns: (i64, i64),
-    /// Control-plane fault plan injected into the control LAN (loss,
-    /// duplication, delay, crashes).
-    pub faults: Option<FaultPlan>,
+    /// Control-LAN frame loss: the probability the `lan.send_drop`
+    /// buggify point is forced to.
+    pub lan_loss: Option<f64>,
+    /// Host B's control interface crashes at this instant.
+    pub crash_b_at: Option<SimTime>,
     /// Make host B a straggler: its done report stalls this long after
     /// the local capture.
     pub straggler_stall: Option<SimDuration>,
@@ -46,7 +49,8 @@ impl Default for LabConfig {
             ntp: true,
             lead: None,
             offsets_ns: (2_000_000, -3_000_000),
-            faults: None,
+            lan_loss: None,
+            crash_b_at: None,
             straggler_stall: None,
             policy: None,
         }
@@ -103,9 +107,11 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         profile.ctrl_lan_latency,
         profile.ctrl_lan_jitter,
     )));
-    if let Some(plan) = cfg.faults.clone() {
-        e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
+    if let Some(p) = cfg.lan_loss {
+        e.buggify().force(points::LAN_SEND_DROP, p);
     }
+    // A faulty control plane warrants at-least-once done reports.
+    let faulty = cfg.lan_loss.is_some() || cfg.crash_b_at.is_some();
     let ops_addr = NodeAddr(1000);
     // A black-hole address: attached to nothing, requests vanish.
     let ntp_target = if cfg.ntp { ops_addr } else { NodeAddr(9999) };
@@ -136,8 +142,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         if let Some(stall) = stall {
             agent = agent.with_done_stall(stall);
         }
-        if cfg.faults.is_some() {
-            // A faulty control plane warrants at-least-once done reports.
+        if faulty {
             agent = agent.with_done_resend(SimDuration::from_millis(100));
         }
         let host = VmHost::new(
@@ -188,7 +193,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         queue_slots: 512,
     };
     e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        if cfg.faults.is_some() {
+        if faulty {
             d.set_done_resend(Some(SimDuration::from_millis(100)));
         }
         d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
@@ -205,6 +210,9 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         l.attach(a_addr, Endpoint { component: host_a, iface: IfaceId::CONTROL });
         l.attach(b_addr, Endpoint { component: host_b, iface: IfaceId::CONTROL });
         l.attach(dn_addr, Endpoint { component: dn, iface: IfaceId::CONTROL });
+        if let Some(at) = cfg.crash_b_at {
+            l.crash_at(b_addr, at);
+        }
     });
     e.with_component::<Coordinator, _>(coord, |c, _| {
         c.subscribe(a_addr);

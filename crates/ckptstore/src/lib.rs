@@ -22,14 +22,10 @@
 //! ([`MemBackend`] or the append-only [`SegmentLogBackend`] that
 //! rebuilds its index from [`SegmentMedia`] on open). All access goes
 //! through the cheap-`Clone` [`StoreClient`] handle built by
-//! [`ChunkStore::builder`]; puts fan chunk batches out to shards with
+//! [`StoreClient::builder`]; puts fan chunk batches out to shards with
 //! R-copy replication and quorum-ack commit, and copies that fail past
 //! the quorum land on a gossip repair queue drained by per-shard
 //! [`ShardWorker`] components on the sim engine.
-//!
-//! The legacy single-struct [`ChunkStore`] remains as a facade with the
-//! same observable semantics (its direct constructors and `&mut self`
-//! put paths are deprecated).
 //!
 //! # Image format
 //!
@@ -83,7 +79,6 @@ mod codec;
 mod error;
 mod hash;
 pub mod service;
-mod store;
 
 pub use backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 pub use client::{ShardWorker, StoreClient};
@@ -94,4 +89,3 @@ pub use service::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
     StorePolicy, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
 };
-pub use store::ChunkStore;

@@ -193,20 +193,6 @@ enum TaskOutcome {
     Added,
 }
 
-/// Deterministic write-fault state (SplitMix64 over an injected seed).
-struct WriteFaults {
-    state: u64,
-    per_million: u32,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 struct Manifest {
     logical_len: u64,
     chunks: Vec<ChunkHash>,
@@ -227,10 +213,7 @@ struct ChunkMeta {
 /// the base shard, replicas stride to the following shards.
 pub fn shard_of(hash: ChunkHash, copy: u8, n_shards: usize) -> usize {
     debug_assert!(n_shards > 0);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in hash.0.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = sim::fnv1a(&hash.0.to_le_bytes());
     ((h % n_shards as u64) as usize + copy as usize) % n_shards
 }
 
@@ -272,7 +255,7 @@ struct Shard {
 }
 
 /// The sharded store service. Not used directly — construct through
-/// [`ChunkStore::builder`](crate::ChunkStore::builder) and drive it via
+/// [`StoreClient::builder`](crate::StoreClient::builder) and drive it via
 /// [`StoreClient`](crate::StoreClient).
 pub struct StoreService {
     chunk_size: usize,
@@ -289,7 +272,6 @@ pub struct StoreService {
     repair_stats: RepairStats,
     /// Chunks served from a replica because the primary was corrupt.
     repaired: u64,
-    write_faults: Option<WriteFaults>,
     tele: Option<SvcTele>,
     /// Randomized fault exploration (`store.*` buggify points). Disarmed
     /// by default: a disarmed registry never draws, so stores outside an
@@ -332,7 +314,6 @@ impl StoreService {
             queued: HashSet::new(),
             repair_stats: RepairStats::default(),
             repaired: 0,
-            write_faults: None,
             tele: None,
             buggify: Buggify::disabled(),
             get_penalty_ns: 0,
@@ -421,18 +402,6 @@ impl StoreService {
         });
     }
 
-    /// Fault injection: flip one byte in the *primary* copy of roughly
-    /// `per_million` out of every million chunks inserted from now on.
-    /// Replicas are written clean, so replication >= 2 repairs these
-    /// corruptions transparently. Deterministic in `seed`.
-    pub fn inject_write_faults(&mut self, seed: u64, per_million: u32) {
-        self.write_faults = Some(WriteFaults { state: seed, per_million });
-    }
-
-    pub fn clear_write_faults(&mut self) {
-        self.write_faults = None;
-    }
-
     // -----------------------------------------------------------------
     // Write path.
     // -----------------------------------------------------------------
@@ -495,21 +464,8 @@ impl StoreService {
                 };
                 let mut primary = clean.clone();
                 inserted_clean = Some(clean.clone());
-                // Write-path fault injection damages the primary only;
+                // Buggified write corruption damages the primary only;
                 // replicas land clean (independent write paths).
-                if let Some(wf) = self.write_faults.as_mut() {
-                    let draw = splitmix64(&mut wf.state);
-                    if !chunk.is_empty() && draw % 1_000_000 < u64::from(wf.per_million) {
-                        let mut damaged = chunk.to_vec();
-                        let i = (draw >> 32) as usize % damaged.len();
-                        damaged[i] ^= 0x01;
-                        primary = damaged.into();
-                        inserted_clean = None;
-                    }
-                }
-                // Buggified write corruption: same shape as the injected
-                // faults above (primary damaged, replicas clean), drawn
-                // from the exploration registry's own stream.
                 if !chunk.is_empty() && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
                     let i = self
                         .buggify
@@ -1024,9 +980,8 @@ impl StoreService {
 
     /// A full synchronous scrub pass through the repair queue: schedules
     /// damage found by the hash-order scan, then drains everything.
-    /// Returns the distinct chunks that had a damaged copy rewritten —
-    /// the contract of the deprecated `ChunkStore::scrub`. A buggified
-    /// skipped pass schedules nothing and drains nothing.
+    /// Returns the distinct chunks that had a damaged copy rewritten. A
+    /// buggified skipped pass schedules nothing and drains nothing.
     pub fn scrub_now(&mut self) -> u64 {
         if buggify!(self.buggify, bg_points::STORE_SCRUB_SKIP) {
             return 0;
@@ -1044,9 +999,8 @@ impl StoreService {
 
     /// Raises under-replicated chunks through the gossip-repair queue
     /// and drains it synchronously. Returns the distinct chunks that
-    /// actually gained a copy — the contract of the deprecated
-    /// `ChunkStore::rebuild_redundancy`; chunks with no intact source
-    /// are dropped by the pump, not counted.
+    /// actually gained a copy; chunks with no intact source are dropped
+    /// by the pump, not counted.
     pub fn rebuild_redundancy(&mut self) -> u64 {
         self.schedule_redundancy_rebuild();
         let mut gained: HashSet<u128> = HashSet::new();
@@ -1143,7 +1097,7 @@ enum BackendChoice {
 
 /// Configures and builds a sharded store, returning the cheap-`Clone`
 /// [`StoreClient`](crate::StoreClient) handle every caller goes
-/// through. Obtained via [`ChunkStore::builder`](crate::ChunkStore::builder).
+/// through. Obtained via [`StoreClient::builder`](crate::StoreClient::builder).
 pub struct StoreBuilder {
     chunk_size: usize,
     shards: usize,

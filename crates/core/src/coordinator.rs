@@ -400,29 +400,9 @@ impl Coordinator {
         }
     }
 
-    /// Creates a coordinator with a perfect reference clock.
-    #[deprecated(note = "use Coordinator::builder(addr, lan).mode(mode).build()")]
-    pub fn new(addr: NodeAddr, lan: ComponentId, mode: TriggerMode) -> Self {
-        Coordinator::builder(addr, lan).mode(mode).build()
-    }
-
-    /// Sets the failure-handling policy (applies to rounds triggered
-    /// afterwards; in-flight timers keep the policy they started with).
-    #[deprecated(note = "use Coordinator::builder(..).policy(..)")]
-    pub fn set_policy(&mut self, policy: FailurePolicy) {
-        self.policy = policy;
-    }
-
     /// The active failure-handling policy.
     pub fn policy(&self) -> FailurePolicy {
         self.policy
-    }
-
-    /// Holds the resume after the barrier (stateful swap-out, §5).
-    #[deprecated(note = "use Coordinator::suspend_in for a held round, or \
-                         Coordinator::builder(..).hold_resume(..) for a standing default")]
-    pub fn set_hold_resume(&mut self, hold: bool) {
-        self.hold_resume = hold;
     }
 
     fn tele(&mut self, ctx: &Ctx<'_>) -> CoordTele {
@@ -816,17 +796,6 @@ impl Coordinator {
             self.policy.epoch_deadline
         };
         ctx.post_self(deadline, CoordMsg::EpochDeadline { group, epoch, gen });
-    }
-
-    /// Selects which group the next `start_periodic` drives (default:
-    /// [`GroupId::DEFAULT`]); also retargets an already-running schedule.
-    #[deprecated(note = "use Coordinator::start_periodic_in(ctx, group, interval), or \
-                         Coordinator::builder(..).periodic_group(..)")]
-    pub fn set_periodic_group(&mut self, group: GroupId) {
-        if let Some((g, _)) = self.periodic.as_mut() {
-            *g = group;
-        }
-        self.pending_periodic_group = Some(group);
     }
 
     /// Starts periodic checkpointing of the selected (or default) group.
@@ -1615,7 +1584,8 @@ impl Component for Coordinator {
 mod tests {
     use super::*;
     use hwsim::{ControlLan, Frame, LanTransmit};
-    use sim::{Component, Engine, FaultPlan};
+    use sim::buggify::points;
+    use sim::{Component, Engine};
 
     /// A fake node agent: records notifications, reports done after a
     /// fixed local delay; optionally acks notifications explicitly.
@@ -1855,13 +1825,10 @@ mod tests {
     #[test]
     fn lost_notifications_are_retried_until_acked() {
         let (mut e, coord, nodes) = rig(&[5, 5]);
-        let lan = sim::ComponentId(0);
         // Total loss at first: the initial notification and the 25 ms
-        // retry both vanish (draw-free at p=1, so swapping plans below
-        // cannot shift any rng stream).
-        e.with_component::<ControlLan, _>(lan, |l, _| {
-            l.inject_faults(FaultPlan::new(1).with_loss(1.0));
-        });
+        // retry both vanish (draw-free at p=1, so healing below cannot
+        // shift any rng stream).
+        e.buggify().force(points::LAN_SEND_DROP, 1.0);
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(60));
         assert_eq!(
@@ -1870,9 +1837,7 @@ mod tests {
             "nothing can complete while the LAN eats every frame"
         );
         // Heal the LAN: the next backoff retry (75 ms) gets through.
-        e.with_component::<ControlLan, _>(lan, |l, _| {
-            l.inject_faults(FaultPlan::new(1));
-        });
+        e.buggify().force(points::LAN_SEND_DROP, 0.0);
         e.run_for(SimDuration::from_millis(200));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
         assert_eq!(c.completed(), 1);
@@ -1895,9 +1860,7 @@ mod tests {
             }),
         );
         let lan = sim::ComponentId(0);
-        e.with_component::<ControlLan, _>(lan, |l, _| {
-            l.inject_faults(FaultPlan::new(2).with_crash(2, SimTime::ZERO));
-        });
+        e.with_component::<ControlLan, _>(lan, |l, _| l.crash_at(NodeAddr(2), SimTime::ZERO));
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(200));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
@@ -1980,9 +1943,7 @@ mod tests {
         );
         let lan = sim::ComponentId(0);
         let crashed = NodeAddr(2);
-        e.with_component::<ControlLan, _>(lan, |l, _| {
-            l.inject_faults(FaultPlan::new(2).with_crash(crashed.0, SimTime::ZERO));
-        });
+        e.with_component::<ControlLan, _>(lan, |l, _| l.crash_at(crashed, SimTime::ZERO));
 
         // Epoch 1: degraded, the corpse is expelled.
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
@@ -2005,9 +1966,7 @@ mod tests {
         }
 
         // The node recovers (LAN heals) and is re-admitted.
-        e.with_component::<ControlLan, _>(lan, |l, _| {
-            l.inject_faults(FaultPlan::new(2));
-        });
+        e.with_component::<ControlLan, _>(lan, |l, _| l.heal(crashed));
         e.with_component::<Coordinator, _>(coord, |c, ctx| {
             assert!(c.rejoin(ctx, crashed), "was evicted, must re-admit");
             assert!(!c.rejoin(ctx, crashed), "second rejoin is a no-op");
@@ -2051,33 +2010,6 @@ mod tests {
             shadow.violations()
         );
         assert_eq!(shadow.epochs_checked, 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_behave_like_the_builder() {
-        // One release of compatibility: new/set_policy/set_hold_resume/
-        // set_periodic_group must keep working for out-of-tree callers.
-        let lan = ComponentId(0);
-        let mut old = Coordinator::new(NodeAddr(7), lan, TriggerMode::EventDriven);
-        let policy = FailurePolicy {
-            max_notify_retries: 9,
-            ..FailurePolicy::default()
-        };
-        old.set_policy(policy);
-        old.set_hold_resume(true);
-        old.set_periodic_group(GroupId(3));
-        let new = Coordinator::builder(NodeAddr(7), lan)
-            .mode(TriggerMode::EventDriven)
-            .policy(policy)
-            .hold_resume(true)
-            .periodic_group(GroupId(3))
-            .build();
-        assert_eq!(old.addr(), new.addr());
-        assert_eq!(old.policy().max_notify_retries, new.policy().max_notify_retries);
-        assert_eq!(old.hold_resume, new.hold_resume);
-        assert_eq!(old.pending_periodic_group, new.pending_periodic_group);
-        assert_eq!(old.mode, new.mode);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
 use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
-use sim::{ComponentId, Engine, FaultPlan, SimDuration};
+use sim::buggify::points;
+use sim::{ComponentId, Engine, SimDuration, SimTime};
 use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
 
 // ---------------------------------------------------------------------
@@ -99,7 +100,10 @@ impl GuestProg for Receiver {
 
 struct FaultCfg {
     seed: u64,
-    faults: Option<FaultPlan>,
+    /// Control-LAN frame loss: the forced `lan.send_drop` probability.
+    loss: Option<f64>,
+    /// Host B's control interface crashes at this instant.
+    crash_b_at: Option<SimTime>,
     /// Done-report stall on host B (straggler).
     stall: Option<SimDuration>,
     policy: Option<FailurePolicy>,
@@ -117,18 +121,22 @@ struct Lab {
 }
 
 /// hostA --link-- delaynode --link-- hostB, ops LAN + coordinator, with
-/// the configured fault plan injected into the control LAN.
+/// the configured loss and crash applied to the control LAN.
 fn build_lab(cfg: &FaultCfg) -> Lab {
     let mut e = Engine::new(cfg.seed);
     let profile = Pc3000::default();
+    let faulty = cfg.loss.is_some() || cfg.crash_b_at.is_some();
 
     let lan_id = e.add_component(Box::new(ControlLan::new(
         profile.ctrl_lan_bps,
         profile.ctrl_lan_latency,
         profile.ctrl_lan_jitter,
     )));
-    if let Some(plan) = cfg.faults.clone() {
-        e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
+    if let Some(p) = cfg.loss {
+        e.buggify().force(points::LAN_SEND_DROP, p);
+    }
+    if let Some(at) = cfg.crash_b_at {
+        e.with_component::<ControlLan, _>(lan_id, |l, _| l.crash_at(NodeAddr(2), at));
     }
 
     let ops_addr = NodeAddr(1000);
@@ -156,7 +164,7 @@ fn build_lab(cfg: &FaultCfg) -> Lab {
             if let Some(stall) = stall {
                 agent = agent.with_done_stall(stall);
             }
-            if cfg.faults.is_some() {
+            if faulty {
                 agent = agent.with_done_resend(SimDuration::from_millis(100));
             }
             let host = VmHost::new(
@@ -207,7 +215,7 @@ fn build_lab(cfg: &FaultCfg) -> Lab {
         queue_slots: 512,
     };
     e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        if cfg.faults.is_some() {
+        if faulty {
             d.set_done_resend(Some(SimDuration::from_millis(100)));
         }
         d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
@@ -294,7 +302,8 @@ fn unresolved(c: &Coordinator) -> usize {
 fn epochs_terminate_under_loss_and_straggler() {
     let cfg = FaultCfg {
         seed: 61,
-        faults: Some(FaultPlan::new(61).with_loss(0.10)),
+        loss: Some(0.10),
+        crash_b_at: None,
         stall: Some(SimDuration::from_millis(50)),
         policy: Some(FailurePolicy {
             resume_repeats: 2,
@@ -330,14 +339,15 @@ fn epochs_terminate_under_loss_and_straggler() {
     );
 }
 
-/// Same seed + same fault plan ⇒ the same aborts, the same world: the
+/// Same seed + same loss ⇒ the same aborts, the same world: the
 /// abort path is as deterministic as the commit path.
 #[test]
 fn abort_path_is_deterministic() {
     let observe = |seed: u64| {
         let cfg = FaultCfg {
             seed,
-            faults: Some(FaultPlan::new(17).with_loss(0.05)),
+            loss: Some(0.05),
+            crash_b_at: None,
             stall: Some(SimDuration::from_secs(3)),
             policy: Some(FailurePolicy {
                 resume_repeats: 2,
@@ -375,7 +385,8 @@ fn fully_lost_epoch_aborts_without_touching_guests() {
     let observe = |trigger: bool| {
         let cfg = FaultCfg {
             seed: 64,
-            faults: Some(FaultPlan::new(5).with_loss(1.0)),
+            loss: Some(1.0),
+            crash_b_at: None,
             stall: None,
             policy: None,
             split_groups: false,
@@ -433,9 +444,8 @@ fn fully_lost_epoch_aborts_without_touching_guests() {
 fn crashed_node_degrades_epochs_and_survivors_continue() {
     let cfg = FaultCfg {
         seed: 65,
-        faults: Some(
-            FaultPlan::new(65).with_crash(2, sim::SimTime::from_nanos(30_000_000_000)),
-        ),
+        loss: None,
+        crash_b_at: Some(SimTime::from_nanos(30_000_000_000)),
         stall: None,
         policy: Some(FailurePolicy {
             epoch_deadline: SimDuration::from_millis(500),
@@ -478,7 +488,8 @@ fn crashed_node_degrades_epochs_and_survivors_continue() {
 fn concurrent_group_rounds_fail_independently() {
     let cfg = FaultCfg {
         seed: 67,
-        faults: Some(FaultPlan::new(67).with_loss(0.10)),
+        loss: Some(0.10),
+        crash_b_at: None,
         // Host B stalls its done report past the 2 s epoch deadline, so
         // every group-2 round aborts; group 1 never sees that straggler.
         stall: Some(SimDuration::from_secs(3)),
@@ -562,7 +573,8 @@ fn fault_matrix_terminates_everywhere() {
         for &stall_ms in &[0u64, 50, 3000] {
             let cfg = FaultCfg {
                 seed: 66,
-                faults: Some(FaultPlan::new(66).with_loss(loss)),
+                loss: Some(loss),
+                crash_b_at: None,
                 stall: (stall_ms > 0).then(|| SimDuration::from_millis(stall_ms)),
                 policy: Some(FailurePolicy {
                     resume_repeats: 2,

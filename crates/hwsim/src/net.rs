@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use sim::buggify;
 use sim::buggify::points as bg_points;
-use sim::{transmission_time, Component, ComponentId, Ctx, FaultPlan, Payload, SimDuration, SimRng, SimTime};
+use sim::{transmission_time, Component, ComponentId, Ctx, Payload, SimDuration, SimTime};
 
 /// A testbed-wide interface address (plays the role of a MAC address).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -191,14 +191,14 @@ pub struct ControlLan {
     busy_until: Vec<SimTime>,
     /// Frames with no matching destination member.
     pub undeliverable: u64,
-    /// Injected control-plane faults, with their own random stream so
-    /// fault decisions never consume draws from the LAN's jitter stream.
-    faults: Option<(FaultPlan, SimRng)>,
-    /// Frames dropped by injected loss or a crashed endpoint.
+    /// Crash schedule: `(addr, at)` means `addr`'s control interface is
+    /// dead from `at` on, until [`ControlLan::heal`] removes the entry.
+    crashes: Vec<(NodeAddr, SimTime)>,
+    /// Frames dropped by the `lan.send_drop` point or a crashed endpoint.
     pub fault_drops: u64,
-    /// Frames delivered twice by injected duplication.
+    /// Frames delivered twice by the `lan.send_dup` point.
     pub fault_duplicates: u64,
-    /// Frames delivered late by injected extra delay.
+    /// Frames delivered late by the `lan.send_delay` point.
     pub fault_delays: u64,
 }
 
@@ -206,9 +206,6 @@ pub struct ControlLan {
 pub struct LanTransmit {
     pub frame: Frame,
 }
-
-/// Salt for the LAN's fault-decision stream (see [`FaultPlan::stream`]).
-const FAULT_STREAM_SALT: u32 = 0xFA01;
 
 impl ControlLan {
     /// Creates an empty LAN.
@@ -221,25 +218,28 @@ impl ControlLan {
             members: Vec::new(),
             busy_until: Vec::new(),
             undeliverable: 0,
-            faults: None,
+            crashes: Vec::new(),
             fault_drops: 0,
             fault_duplicates: 0,
             fault_delays: 0,
         }
     }
 
-    /// Arms control-plane fault injection. Drops, duplicates, extra
-    /// delays, and crash windows come from `plan`, drawn from the plan's
-    /// own stream — injecting a plan whose probabilities are all 0 or 1
-    /// leaves the LAN's jitter stream untouched.
-    pub fn inject_faults(&mut self, plan: FaultPlan) {
-        let rng = plan.stream(FAULT_STREAM_SALT);
-        self.faults = Some((plan, rng));
+    /// Crashes `addr`'s control interface at virtual time `at`: from
+    /// then on every frame it sends or is sent is dropped (counted in
+    /// `fault_drops`) and broadcasts skip it, until [`ControlLan::heal`].
+    pub fn crash_at(&mut self, addr: NodeAddr, at: SimTime) {
+        self.crashes.push((addr, at));
     }
 
-    /// The injected fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|(p, _)| p)
+    /// Ends `addr`'s crashes, scheduled or in progress: its traffic flows
+    /// again from the next frame on.
+    pub fn heal(&mut self, addr: NodeAddr) {
+        self.crashes.retain(|&(a, _)| a != addr);
+    }
+
+    fn crashed(&self, addr: NodeAddr, now: SimTime) -> bool {
+        self.crashes.iter().any(|&(a, at)| a == addr && at <= now)
     }
 
     /// Attaches a member with the given address.
@@ -275,65 +275,46 @@ impl Component for ControlLan {
             self.undeliverable += 1;
             return;
         };
-        // Buggified faults first: the randomized-exploration layer draws
-        // from its own per-point streams (never from the LAN's jitter
-        // stream), and a disarmed registry draws nothing at all.
+        // Buggified faults draw from their own per-point streams (never
+        // from the LAN's jitter stream); a disarmed registry, or a point
+        // forced to probability 0 or 1, draws nothing at all.
         let bg = ctx.buggify().clone();
         if buggify!(bg, bg_points::LAN_SEND_DROP) {
             self.fault_drops += 1;
             return;
         }
-        let mut fault_dup = buggify!(bg, bg_points::LAN_SEND_DUP);
+        let fault_dup = buggify!(bg, bg_points::LAN_SEND_DUP);
         if fault_dup {
             self.fault_duplicates += 1;
         }
-        let mut fault_extra = if buggify!(bg, bg_points::LAN_SEND_DELAY) {
+        let fault_extra = if buggify!(bg, bg_points::LAN_SEND_DELAY) {
             self.fault_delays += 1;
             // Enough to blow past ack timeouts and skew NTP exchanges.
             SimDuration::from_micros(bg.magnitude(bg_points::LAN_SEND_DELAY, 50, 5_000))
         } else {
             SimDuration::ZERO
         };
-        // Injected faults act before the LAN's own physics: a dropped
-        // frame never serializes and never draws jitter, so a plan with
-        // draw-free probabilities (0 or 1) leaves healthy traffic's
-        // timing untouched.
-        if let Some((plan, rng)) = self.faults.as_mut() {
-            let now = ctx.now();
-            if plan.crashed(tx.frame.src.0, now)
-                || (tx.frame.dst != NodeAddr::BROADCAST && plan.crashed(tx.frame.dst.0, now))
-                || rng.chance(plan.loss())
-            {
-                self.fault_drops += 1;
-                return;
-            }
-            if rng.chance(plan.duplication()) {
-                fault_dup = true;
-                self.fault_duplicates += 1;
-            }
-            let (p, extra) = plan.extra_delay();
-            if rng.chance(p) {
-                fault_extra = extra;
-                self.fault_delays += 1;
-            }
+        // Crashed endpoints are checked after the points, so a crash
+        // schedule never shifts their streams. Faults act before the
+        // LAN's own physics: a dropped frame never serializes and never
+        // draws jitter, so healthy traffic's timing is untouched.
+        let now = ctx.now();
+        if self.crashed(tx.frame.src, now)
+            || (tx.frame.dst != NodeAddr::BROADCAST && self.crashed(tx.frame.dst, now))
+        {
+            self.fault_drops += 1;
+            return;
         }
         // Serialize on the source port.
         let ser = transmission_time(tx.frame.wire_bytes as u64, self.port_bps);
-        let start = self.busy_until[src_idx].max(ctx.now());
+        let start = self.busy_until[src_idx].max(now);
         let done = start + ser;
         self.busy_until[src_idx] = done;
 
         let targets: Vec<Endpoint> = if tx.frame.dst == NodeAddr::BROADCAST {
-            let now = ctx.now();
             self.members
                 .iter()
-                .filter(|(a, _)| {
-                    *a != tx.frame.src
-                        && !self
-                            .faults
-                            .as_ref()
-                            .is_some_and(|(p, _)| p.crashed(a.0, now))
-                })
+                .filter(|&&(a, _)| a != tx.frame.src && !self.crashed(a, now))
                 .map(|&(_, ep)| ep)
                 .collect()
         } else {
@@ -509,5 +490,99 @@ mod tests {
         });
         e.run_to_completion();
         assert_eq!(e.component_ref::<ControlLan>(lan).unwrap().undeliverable, 1);
+    }
+
+    /// A LAN joining sinks at addresses 1, 2 and 3.
+    fn lan_rig(seed: u64) -> (Engine, ComponentId, [ComponentId; 3]) {
+        let mut e = Engine::new(seed);
+        let mut lan = ControlLan::new(
+            100_000_000,
+            SimDuration::from_micros(20),
+            SimDuration::from_micros(30),
+        );
+        let sinks = [1, 2, 3].map(|a| {
+            let s = e.add_component(Box::new(Sink { got: vec![] }));
+            lan.attach(
+                NodeAddr(a),
+                Endpoint {
+                    component: s,
+                    iface: IfaceId::CONTROL,
+                },
+            );
+            s
+        });
+        let lan = e.add_component(Box::new(lan));
+        (e, lan, sinks)
+    }
+
+    fn send_at(e: &mut Engine, lan: ComponentId, at_us: u64, src: u32, dst: NodeAddr) {
+        let frame = Frame::new(NodeAddr(src), dst, 100, ());
+        e.post(lan, SimDuration::from_micros(at_us), LanTransmit { frame });
+    }
+
+    fn received(e: &Engine, sink: ComponentId) -> usize {
+        e.component_ref::<Sink>(sink).unwrap().got.len()
+    }
+
+    #[test]
+    fn crashed_address_is_cut_off_until_healed() {
+        let (mut e, lan, [s1, s2, s3]) = lan_rig(4);
+        e.with_component::<ControlLan, _>(lan, |l, _| {
+            l.crash_at(NodeAddr(2), SimTime::from_nanos(10_000_000));
+        });
+        // Before the crash instant node 2 is reachable.
+        send_at(&mut e, lan, 0, 1, NodeAddr(2));
+        e.run_for(SimDuration::from_millis(10));
+        assert_eq!(received(&e, s2), 1, "delivered before the crash");
+
+        // Crashed: unicast to it and from it is dropped and counted, and
+        // a broadcast reaches only the live members.
+        send_at(&mut e, lan, 0, 1, NodeAddr(2));
+        send_at(&mut e, lan, 0, 2, NodeAddr(1));
+        send_at(&mut e, lan, 0, 3, NodeAddr::BROADCAST);
+        e.run_for(SimDuration::from_millis(10));
+        assert_eq!(received(&e, s2), 1, "nothing reaches a crashed node");
+        assert_eq!(received(&e, s1), 1, "s1: the broadcast only");
+        assert_eq!(received(&e, s3), 0);
+        assert_eq!(e.component_ref::<ControlLan>(lan).unwrap().fault_drops, 2);
+
+        // Healed: the same three frames all get through.
+        e.with_component::<ControlLan, _>(lan, |l, _| l.heal(NodeAddr(2)));
+        send_at(&mut e, lan, 0, 1, NodeAddr(2));
+        send_at(&mut e, lan, 0, 2, NodeAddr(1));
+        send_at(&mut e, lan, 0, 3, NodeAddr::BROADCAST);
+        e.run_for(SimDuration::from_millis(10));
+        assert_eq!(received(&e, s2), 3, "unicast + broadcast after heal");
+        assert_eq!(received(&e, s1), 3);
+        assert_eq!(e.component_ref::<ControlLan>(lan).unwrap().fault_drops, 2);
+    }
+
+    #[test]
+    fn forced_send_drop_is_banded_and_replays() {
+        let run = || {
+            let (mut e, lan, [_, s2, _]) = lan_rig(5);
+            e.buggify().force(bg_points::LAN_SEND_DROP, 0.5);
+            for i in 0..1_000 {
+                send_at(&mut e, lan, i * 100, 1, NodeAddr(2));
+            }
+            e.run_to_completion();
+            let drops = e.component_ref::<ControlLan>(lan).unwrap().fault_drops;
+            let arrivals: Vec<SimTime> = e
+                .component_ref::<Sink>(s2)
+                .unwrap()
+                .got
+                .iter()
+                .map(|g| g.0)
+                .collect();
+            (drops, arrivals)
+        };
+        let (drops, arrivals) = run();
+        assert!((400..=600).contains(&drops), "{drops} drops at p = 0.5");
+        assert_eq!(
+            drops as usize + arrivals.len(),
+            1_000,
+            "every frame dropped or delivered"
+        );
+        assert_eq!(run(), (drops, arrivals), "same seed, same drops and timing");
     }
 }

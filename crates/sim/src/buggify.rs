@@ -15,6 +15,12 @@
 //! explorer replay a failing iteration byte-identically from its printed
 //! seed.
 //!
+//! This registry is the workspace's one fault-injection model. A fixed
+//! fault rate is a [`Buggify::force`]d point (fixed control-LAN loss
+//! forces `lan.send_drop`); the only other fault source is the control
+//! LAN's crash/heal schedule, checked after the `lan.send_*` points so a
+//! crash never shifts their streams.
+//!
 //! The handle is a cheap-clone `Rc<RefCell<_>>`, mirroring
 //! [`Telemetry`](crate::telemetry::Telemetry): the engine owns one, every
 //! component reaches it through [`Ctx::buggify`](crate::Ctx::buggify),
@@ -24,6 +30,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use crate::fnv::fnv1a;
 use crate::rng::SimRng;
 
 /// Aggressiveness preset scaling every point's base probability.
@@ -182,7 +189,7 @@ impl Inner {
     fn point_state(&mut self, point: &str) -> &mut PointState {
         let seed = self.seed;
         self.points.entry(point.to_owned()).or_insert_with(|| PointState {
-            rng: SimRng::from_seed(seed ^ point_hash(point)),
+            rng: SimRng::from_seed(seed ^ fnv1a(point.as_bytes())),
             forced: None,
             evals: 0,
             fires: 0,
@@ -197,17 +204,6 @@ impl Inner {
 #[derive(Clone)]
 pub struct Buggify {
     inner: Rc<RefCell<Inner>>,
-}
-
-/// FNV-1a over the point name: a stable, dependency-free name hash used
-/// to derive each point's stream from the root seed.
-fn point_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Buggify {

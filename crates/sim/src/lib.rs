@@ -35,7 +35,7 @@
 pub mod buggify;
 mod engine;
 mod event;
-mod fault;
+mod fnv;
 mod rng;
 pub mod shard;
 pub mod stats;
@@ -47,7 +47,7 @@ pub use buggify::{Buggify, Preset};
 pub use engine::{Component, Ctx, Engine};
 pub use event::{payload_pool_stats, ComponentId, EventId, Payload};
 pub use shard::{ShardComponent, ShardCtx, ShardedEngine};
-pub use fault::FaultPlan;
+pub use fnv::fnv1a;
 pub use rng::SimRng;
 pub use telemetry::audit::{
     audit_transparency, audit_transparency_with, AuditConfig, AuditReport, AuditViolation,
